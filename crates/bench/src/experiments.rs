@@ -1,5 +1,5 @@
 //! Experiment implementations. Each returns plain data so the `figures`
-//! binary, the criterion benches, and the integration tests can all share
+//! binary, the benchmark harness, and the integration tests can all share
 //! them. Every experiment propagates simulation failures as
 //! [`SimError`] instead of panicking.
 //!

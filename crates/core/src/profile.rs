@@ -94,12 +94,12 @@ pub(crate) enum BufferedCall {
 
 /// A [`Profiler`] that records its callback stream for later replay.
 ///
-/// The chip scheduler interleaves SM stepping in global-cycle order, but
+/// A multi-SM group interleaves SM stepping in global-cycle order, but
 /// profilers expect each SM's stream contiguous between `begin_sm` /
-/// `end_sm`. Each SM therefore profiles into one of these during the run,
-/// and the chip replays the buffers SM by SM afterwards. `begin_sm` /
-/// `end_sm` are not buffered — the chip emits them itself around
-/// [`replay`](Self::replay).
+/// `end_sm`. Each SM of such a group therefore profiles into one of these,
+/// and the buffers are replayed SM by SM once the group finishes.
+/// `begin_sm` / `end_sm` are not buffered — the simulator emits them itself
+/// around [`replay`](Self::replay).
 #[derive(Debug, Default)]
 pub(crate) struct BufferingProfiler {
     calls: Vec<BufferedCall>,

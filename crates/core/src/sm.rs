@@ -4,11 +4,13 @@
 use crate::config::{SchedulerPolicy, SiConfig, SmConfig};
 use crate::error::{InvariantLevel, SimError, StateSnapshot};
 use crate::image::MemoryImage;
-use crate::profile::{CounterSample, Profiler};
+use crate::profile::{BufferingProfiler, CounterSample, Profiler};
 use crate::stats::{CycleCause, RunStats};
 use crate::trace::{EventKind, EventRecorder, TraceEvent};
 use crate::warp::{lanes, IssueResult, MemKind, RtJob, WarpSim, WarpStatus};
 use crate::workload::Workload;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use subwarp_isa::{Program, Reg, Scoreboard};
 use subwarp_mem::{AccessKind, Cache, DataMemory, MemoryBackend, ServiceUnit};
 
@@ -89,7 +91,7 @@ impl Simulator {
     /// [`SimError::InvariantViolation`] (each carrying a
     /// [`StateSnapshot`]) when the run fails mid-flight.
     pub fn run(&self, workload: &Workload) -> Result<RunStats, SimError> {
-        Ok(self.run_inner(workload, None, false, None)?.0)
+        Ok(self.run_inner(workload, false, false, None)?.0)
     }
 
     /// Runs `workload` with an attached [`Profiler`], streaming per-cycle
@@ -104,7 +106,7 @@ impl Simulator {
         workload: &Workload,
         profiler: &mut dyn Profiler,
     ) -> Result<RunStats, SimError> {
-        Ok(self.run_inner(workload, None, false, Some(profiler))?.0)
+        Ok(self.run_inner(workload, false, false, Some(profiler))?.0)
     }
 
     /// Runs `workload`, additionally recording every thread-status
@@ -113,7 +115,7 @@ impl Simulator {
     /// # Errors
     /// As for [`run`](Self::run).
     pub fn run_recorded(&self, workload: &Workload) -> Result<(RunStats, EventRecorder), SimError> {
-        let (stats, rec, _) = self.run_inner(workload, Some(EventRecorder::new()), false, None)?;
+        let (stats, rec, _) = self.run_inner(workload, true, false, None)?;
         Ok((stats, rec.expect("recorder was installed")))
     }
 
@@ -128,14 +130,14 @@ impl Simulator {
         &self,
         workload: &Workload,
     ) -> Result<(RunStats, MemoryImage), SimError> {
-        let (stats, _, image) = self.run_inner(workload, None, true, None)?;
+        let (stats, _, image) = self.run_inner(workload, false, true, None)?;
         Ok((stats, image.expect("memory capture was requested")))
     }
 
     fn run_inner(
         &self,
         wl: &Workload,
-        recorder: Option<EventRecorder>,
+        record: bool,
         capture_memory: bool,
         mut profiler: Option<&mut dyn Profiler>,
     ) -> Result<RunOutputs, SimError> {
@@ -149,219 +151,145 @@ impl Simulator {
             workload: wl.name.clone(),
             what,
         })?;
-        // Chip dispatch: when more than one SM runs against a backend with
+        // SM grouping: when more than one SM runs against a backend with
         // shareable state (the hierarchical L2/DRAM partitions) and sharing
-        // is enabled, the SMs contend for it and must be co-scheduled in
+        // is enabled, the SMs contend for it and form one group stepped in
         // global-cycle order. Otherwise — one SM, the fixed-latency stub, or
-        // sharing explicitly disabled — SMs share nothing, and each
-        // simulates independently over its round-robin share of warps.
-        let shared_chip =
-            self.sm.n_sms > 1 && self.sm.shared_partitions && !self.sm.mem_backend.is_shareless();
-        if shared_chip {
-            return self.run_chip(wl, recorder, capture_memory, profiler);
-        }
-        let mut total = RunStats::default();
-        let mut merged_events: Vec<crate::trace::TraceEvent> = Vec::new();
-        // Stores from every SM are concatenated in SM order; finalization's
-        // last-wins rule then gives later SMs priority, matching the old
-        // ordered-map `extend` semantics.
-        let mut store_log = capture_memory.then(Vec::new);
-        for sm_id in 0..self.sm.n_sms {
-            let rec = recorder.as_ref().map(|_| EventRecorder::new());
-            if let Some(p) = profiler.as_deref_mut() {
-                p.begin_sm(sm_id);
-            }
-            // The profiler reference is moved into the SM state (and taken
-            // back after the run): `&mut dyn` is invariant in its object
-            // lifetime, so a per-iteration reborrow would not check.
-            let mut st = SimState::new(
-                &self.sm,
-                &self.si,
-                wl,
-                rec,
-                sm_id,
-                capture_memory,
-                profiler.take(),
-                None,
-            );
-            while !st.finished() {
-                st.step()?;
-            }
-            // Cycle-attribution conservation: every cycle this SM simulated
-            // — including fast-forwarded stretches — must land in exactly
-            // one cause bucket. Always checked; it is one sum per run.
-            let attributed = st.stats.causes_total();
-            if attributed != st.stats.cycles {
-                return Err(SimError::InvariantViolation {
-                    workload: wl.name.clone(),
-                    what: format!(
-                        "cycle-attribution conservation violated on SM {sm_id}: \
-                         per-cause sum {attributed} != cycles {}",
-                        st.stats.cycles
-                    ),
-                    snapshot: st.snapshot(),
-                });
-            }
-            st.stats.phase_nanos = st.phase_nanos;
-            st.stats.l1i = st.l1i.stats();
-            st.stats.l1d = st.l1d.stats();
-            st.stats.mem = st.backend.stats();
-            for l0 in &st.l0i {
-                st.stats.l0i.hits += l0.stats().hits;
-                st.stats.l0i.misses += l0.stats().misses;
-            }
-            if self.sm.n_sms > 1 {
-                total.per_sm.push(st.stats.clone());
-            }
-            total.accumulate_sm(&st.stats);
-            let final_cycle = st.stats.cycles;
-            profiler = st.profiler.take();
-            if let Some(r) = st.recorder {
-                merged_events.extend(r.events().iter().cloned());
-            }
-            if let (Some(all), Some(sm)) = (store_log.as_mut(), st.mem_image) {
-                all.extend(sm);
-            }
-            if let Some(p) = profiler.as_deref_mut() {
-                p.end_sm(final_cycle);
-            }
-        }
-        let recorder = recorder.map(|_| {
-            merged_events.sort_by_key(|e| (e.cycle, e.warp));
-            let mut r = EventRecorder::new();
-            for e in merged_events {
-                r.record(e);
-            }
-            r
-        });
-        Ok((total, recorder, store_log.map(MemoryImage::from_log)))
-    }
-
-    /// Full-chip run: N SMs contending for one shared set of memory
-    /// partitions (banked L2, DRAM channels/rows — paper Sec. VI).
-    ///
-    /// Stepping is event-driven over a global min-heap keyed by each SM's
-    /// local clock: the unfinished SM with the smallest `cycle` (ties broken
-    /// by SM id) steps next. Two properties follow:
-    ///
-    /// - **Determinism.** The interleaving is a pure function of the per-SM
-    ///   clocks, so every shared-backend `miss()` happens in a fixed order
-    ///   regardless of host thread count (`SUBWARP_JOBS` never enters —
-    ///   chip stepping is serial within one run).
-    /// - **Fast-forward soundness.** The heap keeps the global minimum
-    ///   nondecreasing, so `miss(now, ..)` calls arrive in nondecreasing
-    ///   `now` order chip-wide — the backend's analytic-at-issue contract
-    ///   holds exactly as in the single-SM case. An SM fast-forwards only
-    ///   through stretches where *it* issues nothing; other SMs' concurrent
-    ///   misses mutate shared state but cannot retroactively change this
-    ///   SM's already-computed completion times, so skipping remains safe.
-    ///
-    /// Each SM profiles into a [`BufferingProfiler`] during the interleaved
-    /// run; the buffers are replayed SM-by-SM afterwards so attached
-    /// profilers still see contiguous `begin_sm`/`end_sm` streams.
-    fn run_chip(
-        &self,
-        wl: &Workload,
-        recorder: Option<EventRecorder>,
-        capture_memory: bool,
-        profiler: Option<&mut dyn Profiler>,
-    ) -> Result<RunOutputs, SimError> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
+        // sharing explicitly disabled — SMs share nothing, and each is a
+        // group of its own, run to completion over its round-robin share of
+        // warps before the next one starts.
         let n_sms = self.sm.n_sms;
-        let mut backends = self
-            .sm
-            .mem_backend
-            .build_chip(self.sm.miss_latency, n_sms)
-            .into_iter();
-        let mut buffers: Vec<crate::profile::BufferingProfiler> = if profiler.is_some() {
-            (0..n_sms).map(|_| Default::default()).collect()
-        } else {
-            Vec::new()
+        let shared = n_sms > 1 && self.sm.shared_partitions && !self.sm.mem_backend.is_shareless();
+        let group_len = if shared { n_sms } else { 1 };
+        let mut totals = ChipTotals {
+            stats: RunStats::default(),
+            events: Vec::new(),
+            stores: capture_memory.then(Vec::new),
         };
-        let mut bufs = buffers.iter_mut();
-        let mut states: Vec<SimState> = (0..n_sms)
-            .map(|sm_id| {
-                SimState::new(
-                    &self.sm,
-                    &self.si,
-                    wl,
-                    recorder.as_ref().map(|_| EventRecorder::new()),
-                    sm_id,
-                    capture_memory,
-                    bufs.next().map(|b| b as &mut dyn Profiler),
-                    backends.next(),
-                )
-            })
-            .collect();
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = states
-            .iter()
-            .enumerate()
-            .filter(|(_, st)| !st.finished())
-            .map(|(i, st)| Reverse((st.cycle, i)))
-            .collect();
-        while let Some(Reverse((_, i))) = heap.pop() {
-            let st = &mut states[i];
-            st.step()?;
-            if !st.finished() {
-                heap.push(Reverse((st.cycle, i)));
+        for first in (0..n_sms).step_by(group_len) {
+            let backends = if shared {
+                self.sm.mem_backend.build_chip(self.sm.miss_latency, n_sms)
+            } else {
+                vec![self.sm.mem_backend.build(self.sm.miss_latency)]
+            };
+            // A group of one streams straight into the profiler. A larger
+            // group interleaves its SMs, so each profiles into a buffer
+            // that is replayed SM by SM once the group is done: attached
+            // profilers always see contiguous `begin_sm`/`end_sm` streams.
+            let mut buffers: Vec<BufferingProfiler> = match &profiler {
+                Some(_) if shared => (0..group_len).map(|_| Default::default()).collect(),
+                _ => Vec::new(),
+            };
+            // The reborrow is annotated so it coerces to the buffers'
+            // shorter object lifetime: `&mut dyn` is invariant in it.
+            let mut direct: Option<&mut dyn Profiler> = match profiler.as_deref_mut() {
+                Some(p) if !shared => {
+                    p.begin_sm(first);
+                    Some(p)
+                }
+                _ => None,
+            };
+            let mut sinks = buffers.iter_mut();
+            let mut states: Vec<SimState> = backends
+                .into_iter()
+                .enumerate()
+                .map(|(k, backend)| {
+                    let sink = sinks.next().map(|b| b as &mut dyn Profiler);
+                    SimState::new(
+                        &self.sm,
+                        &self.si,
+                        wl,
+                        record.then(EventRecorder::new),
+                        first + k,
+                        capture_memory,
+                        sink.or_else(|| direct.take()),
+                        backend,
+                    )
+                })
+                .collect();
+            step_group(&mut states)?;
+            let final_cycles = states
+                .into_iter()
+                .map(|st| st.finish_sm(&mut totals))
+                .collect::<Result<Vec<u64>, SimError>>()?;
+            if let Some(p) = profiler.as_deref_mut() {
+                let mut buffers = buffers.into_iter();
+                for (k, final_cycle) in final_cycles.into_iter().enumerate() {
+                    if let Some(buf) = buffers.next() {
+                        p.begin_sm(first + k);
+                        buf.replay(p);
+                    }
+                    p.end_sm(final_cycle);
+                }
             }
         }
-        // Finalize in SM-id order — identical bookkeeping to the serial
-        // path, so per-SM stats, event merge order, and the store log's
-        // later-SM-wins concatenation all match it.
-        let mut total = RunStats::default();
-        let mut merged_events: Vec<crate::trace::TraceEvent> = Vec::new();
-        let mut store_log = capture_memory.then(Vec::new);
-        let mut final_cycles = Vec::with_capacity(n_sms);
-        for (sm_id, mut st) in states.into_iter().enumerate() {
-            let attributed = st.stats.causes_total();
-            if attributed != st.stats.cycles {
-                return Err(SimError::InvariantViolation {
-                    workload: wl.name.clone(),
-                    what: format!(
-                        "cycle-attribution conservation violated on SM {sm_id}: \
-                         per-cause sum {attributed} != cycles {}",
-                        st.stats.cycles
-                    ),
-                    snapshot: st.snapshot(),
-                });
-            }
-            st.stats.phase_nanos = st.phase_nanos;
-            st.stats.l1i = st.l1i.stats();
-            st.stats.l1d = st.l1d.stats();
-            st.stats.mem = st.backend.stats();
-            for l0 in &st.l0i {
-                st.stats.l0i.hits += l0.stats().hits;
-                st.stats.l0i.misses += l0.stats().misses;
-            }
-            total.per_sm.push(st.stats.clone());
-            total.accumulate_sm(&st.stats);
-            final_cycles.push(st.stats.cycles);
-            if let Some(r) = st.recorder {
-                merged_events.extend(r.events().iter().cloned());
-            }
-            if let (Some(all), Some(sm)) = (store_log.as_mut(), st.mem_image) {
-                all.extend(sm);
-            }
-        }
-        if let Some(p) = profiler {
-            for (sm_id, buf) in buffers.into_iter().enumerate() {
-                p.begin_sm(sm_id);
-                buf.replay(p);
-                p.end_sm(final_cycles[sm_id]);
-            }
-        }
-        let recorder = recorder.map(|_| {
-            merged_events.sort_by_key(|e| (e.cycle, e.warp));
+        let recorder = record.then(|| {
+            totals.events.sort_by_key(|e| (e.cycle, e.warp));
             let mut r = EventRecorder::new();
-            for e in merged_events {
+            for e in totals.events {
                 r.record(e);
             }
             r
         });
-        Ok((total, recorder, store_log.map(MemoryImage::from_log)))
+        Ok((
+            totals.stats,
+            recorder,
+            totals.stores.map(MemoryImage::from_log),
+        ))
     }
+}
+
+/// Steps a group of SMs to completion over a min-heap keyed
+/// `(cycle, sm_id)`: the unfinished SM with the smallest local clock (ties
+/// broken by SM id) steps next. The popped SM keeps stepping while its key
+/// stays below the heap's next key, which is the order pop-step-push gives
+/// but means a group of one pops the heap once and then runs a plain step
+/// loop. For a multi-SM group sharing memory partitions, two properties
+/// follow:
+///
+/// - **Determinism.** The interleaving is a pure function of the per-SM
+///   clocks, so every shared-backend `miss()` happens in a fixed order
+///   regardless of host thread count (`SUBWARP_JOBS` never enters —
+///   stepping is serial within one run).
+/// - **Fast-forward soundness.** The heap keeps the global minimum
+///   nondecreasing, so `miss(now, ..)` calls arrive in nondecreasing `now`
+///   order chip-wide — the backend's analytic-at-issue contract holds
+///   exactly as for a single SM. An SM fast-forwards only through
+///   stretches where *it* issues nothing; other SMs' concurrent misses
+///   mutate shared state but cannot retroactively change this SM's
+///   already-computed completion times, so skipping remains safe.
+fn step_group(states: &mut [SimState]) -> Result<(), SimError> {
+    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = states
+        .iter()
+        .enumerate()
+        .filter(|(_, st)| !st.finished())
+        .map(|(i, st)| Reverse((st.cycle, i)))
+        .collect();
+    while let Some(Reverse((_, i))) = heap.pop() {
+        let next = heap.peek().map_or((u64::MAX, usize::MAX), |r| r.0);
+        let st = &mut states[i];
+        loop {
+            st.step()?;
+            if st.finished() {
+                break;
+            }
+            if (st.cycle, i) > next {
+                heap.push(Reverse((st.cycle, i)));
+                break;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Chip-wide results, accumulated SM by SM in SM-id order by
+/// [`SimState::finish_sm`].
+struct ChipTotals {
+    stats: RunStats,
+    events: Vec<TraceEvent>,
+    /// Stores from every SM, concatenated in SM order; finalization's
+    /// last-wins rule then gives later SMs priority.
+    stores: Option<Vec<(u64, u64)>>,
 }
 
 /// All mutable state of one run.
@@ -538,7 +466,7 @@ impl<'a, 'p> SimState<'a, 'p> {
         sm_id: usize,
         capture_memory: bool,
         profiler: Option<&'p mut dyn Profiler>,
-        backend: Option<Box<dyn MemoryBackend>>,
+        backend: Box<dyn MemoryBackend>,
     ) -> SimState<'a, 'p> {
         let n_slots = sm.total_warp_slots();
         let mut st = SimState {
@@ -554,7 +482,7 @@ impl<'a, 'p> SimState<'a, 'p> {
             l0i: (0..sm.n_pbs).map(|_| Cache::new(sm.l0i)).collect(),
             l1i: Cache::new(sm.l1i),
             l1d: Cache::new(sm.l1d),
-            backend: backend.unwrap_or_else(|| sm.mem_backend.build(sm.miss_latency)),
+            backend,
             data: DataMemory::new(wl.data_seed),
             lsu: ServiceUnit::new(),
             tex: ServiceUnit::new(),
@@ -625,6 +553,45 @@ impl<'a, 'p> SimState<'a, 'p> {
 
     fn finished(&self) -> bool {
         self.next_warp_id().is_none() && self.resident == 0
+    }
+
+    /// Finalizes a finished SM into the chip-wide `totals` and returns its
+    /// final cycle. Cycle-attribution conservation is checked first: every
+    /// cycle this SM simulated — including fast-forwarded stretches — must
+    /// land in exactly one cause bucket. Always checked; it is one sum per
+    /// SM.
+    fn finish_sm(mut self, totals: &mut ChipTotals) -> Result<u64, SimError> {
+        let attributed = self.stats.causes_total();
+        if attributed != self.stats.cycles {
+            return Err(SimError::InvariantViolation {
+                workload: self.wl.name.clone(),
+                what: format!(
+                    "cycle-attribution conservation violated on SM {}: \
+                     per-cause sum {attributed} != cycles {}",
+                    self.sm_id, self.stats.cycles
+                ),
+                snapshot: self.snapshot(),
+            });
+        }
+        self.stats.phase_nanos = self.phase_nanos;
+        self.stats.l1i = self.l1i.stats();
+        self.stats.l1d = self.l1d.stats();
+        self.stats.mem = self.backend.stats();
+        for l0 in &self.l0i {
+            self.stats.l0i.hits += l0.stats().hits;
+            self.stats.l0i.misses += l0.stats().misses;
+        }
+        if self.sm.n_sms > 1 {
+            totals.stats.per_sm.push(self.stats.clone());
+        }
+        totals.stats.accumulate_sm(&self.stats);
+        if let Some(r) = self.recorder {
+            totals.events.extend_from_slice(r.events());
+        }
+        if let (Some(all), Some(sm)) = (totals.stores.as_mut(), self.mem_image) {
+            all.extend(sm);
+        }
+        Ok(self.stats.cycles)
     }
 
     fn record(&mut self, warp: usize, kind: EventKind, mask: u32, pc: usize) {
@@ -1766,7 +1733,8 @@ mod tests {
         let sm = SmConfig::turing_like();
         let si = SiConfig::best();
         let wl = churn_workload();
-        let mut st = SimState::new(&sm, &si, &wl, None, 0, false, None, None);
+        let backend = sm.mem_backend.build(sm.miss_latency);
+        let mut st = SimState::new(&sm, &si, &wl, None, 0, false, None, backend);
         st.pool_enabled = pool_enabled;
         while !st.finished() {
             st.step().unwrap();

@@ -377,7 +377,8 @@ pub struct CompactStats {
 impl Journal {
     /// Opens (creating if absent) the journal at `path`, taking the
     /// exclusive lock and loading previously completed cells. Malformed
-    /// lines — e.g. the torn tail of a killed run — are skipped. Fails with
+    /// lines are skipped, and a torn tail with no newline (a killed append)
+    /// is truncated away before appending resumes. Fails with
     /// [`ErrorKind::WouldBlock`] naming the holder when another live
     /// process holds the lock.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<Journal> {
@@ -389,10 +390,23 @@ impl Journal {
         }
         let lock = acquire_lock(&path)?;
         let mut state = JournalState::default();
+        // Bytes through the last newline: a record counts only once its
+        // terminating newline is on disk.
+        let mut committed = 0u64;
         match std::fs::File::open(&path) {
             Ok(f) => {
-                for line in std::io::BufReader::new(f).lines() {
-                    let line = line?;
+                let mut reader = std::io::BufReader::new(f);
+                let mut buf = Vec::new();
+                loop {
+                    buf.clear();
+                    let n = reader.read_until(b'\n', &mut buf)?;
+                    if buf.pop() != Some(b'\n') {
+                        break;
+                    }
+                    committed += n as u64;
+                    let Ok(line) = String::from_utf8(std::mem::take(&mut buf)) else {
+                        continue;
+                    };
                     let parsed = (|| {
                         let fp = parse_hex_field(&line, "fp")?;
                         let u = parse_u64_array(&line, "u")?;
@@ -416,6 +430,12 @@ impl Journal {
             .create(true)
             .append(true)
             .open(&path)?;
+        // Cut a torn tail (a killed append) back to the last newline, so
+        // the next record starts on its own line instead of being glued
+        // onto the fragment and dropped by the next reload.
+        if file.metadata()?.len() > committed {
+            file.set_len(committed)?;
+        }
         Ok(Journal {
             path,
             restored: state.completed.len(),

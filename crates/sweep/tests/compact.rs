@@ -1,7 +1,9 @@
-//! Crash-consistency tests for journal compaction: a crash at *every*
+//! Crash-consistency tests for the journal. Compaction: a crash at *every*
 //! injected [`CompactStep`] must leave the on-disk journal either the old
 //! bytes or the new bytes — never a torn hybrid — and a reopened journal
-//! must re-serve the completed prefix byte-identically.
+//! must re-serve the completed prefix byte-identically. Appends: a kill at
+//! any byte of the last line must not cost the next record, or any
+//! complete earlier one, across a reopen.
 //!
 //! The crash is injected by a hook that unwinds out of the pass (caught
 //! here), which leaves the disk exactly as a `kill -9` at that instant
@@ -257,4 +259,48 @@ fn compaction_is_idempotent_when_nothing_is_superseded() {
     assert_eq!(stats.before_bytes, stats.after_bytes);
     assert_eq!(std::fs::read(&t.path).unwrap(), once);
     assert_eq!(j.compactions(), 2);
+}
+
+#[test]
+fn record_after_a_torn_tail_survives_reopen_at_every_cut() {
+    let tmp = TempJournal::new("torn_tail");
+    const EARLIER: u64 = 3;
+    const TORN: u64 = EARLIER + 1;
+    const NEW: u64 = 99;
+    {
+        let j = Journal::open(&tmp.path).unwrap();
+        for fp in 1..=TORN {
+            j.record(fp, &format!("cell-{fp}"), &stats_for(fp));
+        }
+    }
+    let full = std::fs::read(&tmp.path).unwrap();
+    // Start of the last line: just after the second-to-last newline.
+    let last_line = full[..full.len() - 1]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |i| i + 1);
+    // Every cut a killed append can leave: from none of the last line up
+    // to all of it but its newline.
+    for cut in last_line..full.len() {
+        std::fs::write(&tmp.path, &full[..cut]).unwrap();
+        {
+            let j = Journal::open(&tmp.path).unwrap();
+            assert_eq!(j.restored() as u64, EARLIER, "cut at byte {cut}");
+            j.record(NEW, "new-cell", &stats_for(NEW));
+        }
+        let j = Journal::open(&tmp.path).unwrap();
+        for fp in 1..=EARLIER {
+            assert_eq!(
+                j.lookup(fp),
+                Some(stats_for(fp)),
+                "cut at byte {cut}: fp {fp}"
+            );
+        }
+        assert_eq!(
+            j.lookup(NEW),
+            Some(stats_for(NEW)),
+            "cut at byte {cut}: the record written after the torn tail was lost"
+        );
+        assert_eq!(j.lookup(TORN), None, "cut at byte {cut}");
+    }
 }

@@ -3,7 +3,10 @@
 //! sound for a real suite workload (the dependency-free counterpart of
 //! loading it in Perfetto).
 
-use subwarp_interleaving::core::{ChromeTraceProfiler, SiConfig, Simulator, SmConfig};
+use subwarp_interleaving::core::{
+    ChromeTraceProfiler, CounterSample, CycleCause, HierarchyConfig, MemBackendConfig, Profiler,
+    SiConfig, Simulator, SmConfig, TraceEvent,
+};
 use subwarp_interleaving::workloads::{built_suite, figure9_workload};
 
 /// Minimal structural JSON check: balanced brackets outside strings, valid
@@ -46,22 +49,106 @@ fn assert_json_sound(json: &str) {
     assert_eq!(top_level_values, 1, "expected exactly one top-level value");
 }
 
+/// Checks the profiler protocol: every callback arrives between one SM's
+/// `begin_sm(k)` and its `end_sm`, SMs come in id order, and no two SMs'
+/// streams interleave.
+#[derive(Default)]
+struct StreamCheck {
+    /// Inside a `begin_sm`/`end_sm` pair.
+    open: bool,
+    /// Callbacks seen per SM, indexed by `begin_sm` order.
+    callbacks: Vec<u64>,
+    /// The cycle each SM's `end_sm` reported.
+    end_cycles: Vec<u64>,
+}
+
+impl StreamCheck {
+    fn tick(&mut self) {
+        assert!(self.open, "callback outside begin_sm/end_sm");
+        *self.callbacks.last_mut().unwrap() += 1;
+    }
+}
+
+impl Profiler for StreamCheck {
+    fn begin_sm(&mut self, sm_id: usize) {
+        assert!(!self.open, "begin_sm({sm_id}) inside another SM's stream");
+        assert_eq!(sm_id, self.callbacks.len(), "SM streams out of order");
+        self.open = true;
+        self.callbacks.push(0);
+    }
+
+    fn end_sm(&mut self, cycle: u64) {
+        assert!(self.open, "end_sm without begin_sm");
+        self.open = false;
+        self.end_cycles.push(cycle);
+    }
+
+    fn sm_cycles(&mut self, _start: u64, _n: u64, _cause: CycleCause) {
+        self.tick();
+    }
+
+    fn pb_cycles(&mut self, _pb: usize, _start: u64, _n: u64, _cause: CycleCause) {
+        self.tick();
+    }
+
+    fn event(&mut self, _ev: &TraceEvent) {
+        self.tick();
+    }
+
+    fn counters(&mut self, _sample: &CounterSample) {
+        self.tick();
+    }
+}
+
 #[test]
 fn profiling_is_observation_not_actuation() {
-    // Identical RunStats with and without a profiler attached, for the toy
-    // and for a real trace, baseline and SI.
+    // Every entry point returns identical RunStats with and without a
+    // profiler attached — for the toy and for a real trace, baseline and
+    // SI — on one SM, on a 4-SM chip sharing hierarchical L2/DRAM
+    // partitions (one interleaved group), and on 2 SMs of the shareless
+    // fixed-latency stub (one group per SM).
     let suite = built_suite();
     let (_, trace_wl) = &suite[0];
-    for wl in [&figure9_workload(), trace_wl.as_ref()] {
-        for si in [SiConfig::disabled(), SiConfig::best()] {
-            let sim = Simulator::new(SmConfig::turing_like(), si);
-            let plain = sim.run(wl).unwrap();
-            let mut profiler = ChromeTraceProfiler::new();
-            let profiled = sim.run_profiled(wl, &mut profiler).unwrap();
-            assert_eq!(plain, profiled, "{} / {}", wl.name, si.label());
-            assert!(profiler.event_count() > 0, "{}", wl.name);
+    let chip = SmConfig::turing_like()
+        .with_mem_backend(MemBackendConfig::Hierarchical(
+            HierarchyConfig::turing_like(),
+        ))
+        .with_n_sms(4);
+    let configs = [
+        ("1sm", SmConfig::turing_like()),
+        ("4sm-shared-hier", chip),
+        ("2sm-fixed", SmConfig::turing_like().with_n_sms(2)),
+    ];
+    for (tag, sm) in configs {
+        for wl in [&figure9_workload(), trace_wl.as_ref()] {
+            for si in [SiConfig::disabled(), SiConfig::best()] {
+                let ctx = format!("{tag} / {} / {}", wl.name, si.label());
+                let sim = Simulator::new(sm.clone(), si);
+                let plain = sim.run(wl).unwrap();
+                assert_eq!(plain, sim.run_recorded(wl).unwrap().0, "{ctx}");
+                assert_eq!(plain, sim.run_with_memory(wl).unwrap().0, "{ctx}");
+                let mut check = StreamCheck::default();
+                assert_eq!(plain, sim.run_profiled(wl, &mut check).unwrap(), "{ctx}");
+                assert!(!check.open, "{ctx}: last SM stream left open");
+                assert_eq!(check.callbacks.len(), sm.n_sms, "{ctx}");
+                for (k, &n) in check.callbacks.iter().enumerate() {
+                    assert_eq!(n > 0, k < wl.n_warps, "{ctx}: SM {k} saw {n} callbacks");
+                }
+                let sm_cycles: Vec<u64> = if sm.n_sms > 1 {
+                    plain.per_sm.iter().map(|s| s.cycles).collect()
+                } else {
+                    vec![plain.cycles]
+                };
+                assert_eq!(check.end_cycles, sm_cycles, "{ctx}");
+            }
         }
     }
+    // A real trace-event sink sees the same stream.
+    let mut profiler = ChromeTraceProfiler::new();
+    let sim = Simulator::new(SmConfig::turing_like(), SiConfig::best());
+    let profiled = sim.run_profiled(trace_wl, &mut profiler).unwrap();
+    assert_eq!(sim.run(trace_wl).unwrap(), profiled);
+    assert!(profiler.event_count() > 0);
 }
 
 #[test]
