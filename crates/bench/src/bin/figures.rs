@@ -22,16 +22,27 @@
 //!
 //! ## Fault tolerance
 //!
-//! A failing figure no longer aborts the run: it prints a
-//! `FAILED(<figure>): <error>` marker, the remaining figures still render,
-//! and the process exits nonzero at the end. `--resume` (optionally with
-//! `--journal PATH`, default `results/figures_journal.jsonl`) checkpoints
-//! every completed sweep cell to a JSONL journal so an interrupted run can
-//! be relaunched and finish byte-identically without re-simulating
-//! completed cells. `--deadline SECS` bounds each sweep cell's wall-clock
-//! time and `--attempts N` retries failed cells. `chaos` runs a small
-//! sweep with deterministically injected panics, errors, delays, and
-//! dropped memory fills to smoke-test exactly this machinery.
+//! Every run installs a process-global sweep policy, so every figure's
+//! sweep is supervised. A failing figure does not abort the run: it prints
+//! a `FAILED(<figure>): <error>` marker, the remaining figures still
+//! render, and the process exits nonzero at the end. That includes a sweep
+//! cell that panics in a plain run: it becomes a hole and a
+//! `FAILED(<figure>)` marker instead of aborting the process. `--resume`
+//! (optionally with `--journal PATH`, default
+//! `results/figures_journal.jsonl`) checkpoints every completed sweep cell
+//! to a JSONL journal so an interrupted run can be relaunched and finish
+//! byte-identically without re-simulating completed cells. `--deadline
+//! SECS` bounds each sweep cell's wall-clock time and `--attempts N`
+//! retries failed cells. `chaos` runs a small sweep with deterministically
+//! injected panics, errors, delays, and dropped memory fills to smoke-test
+//! exactly this machinery.
+//!
+//! The figures share their reference point (baseline and `Both,N>=0.5` at
+//! 600 cycles, 32 warp slots), so many cells of different figures are the
+//! same simulation under another label. The policy simulates each distinct
+//! cell once per run and answers its twins from memory; at exit one stderr
+//! line says what the run did, e.g. `sweep: 576 cells, 396 simulated, 180
+//! deduplicated, 0 restored from journal`.
 //!
 //! `--max-holes N` draws the line between degraded and broken: figure
 //! failures that are fully accounted for by labeled sweep holes are
@@ -94,29 +105,27 @@ fn main() {
             other => which.push(other),
         }
     }
-    if resume || journal_path.is_some() || deadline_secs.is_some() || attempts > 1 {
-        let mut policy = x::SweepPolicy {
-            deadline: deadline_secs.map(Duration::from_secs),
-            max_attempts: attempts,
-            ..x::SweepPolicy::default()
-        };
-        if resume || journal_path.is_some() {
-            let path = journal_path
-                .clone()
-                .unwrap_or_else(|| "results/figures_journal.jsonl".into());
-            match x::Journal::open(&path) {
-                Ok(j) => {
-                    eprintln!("journal: {path} ({} cells restored)", j.restored());
-                    policy.journal = Some(Arc::new(j));
-                }
-                Err(e) => {
-                    eprintln!("cannot open journal {path}: {e}");
-                    std::process::exit(2);
-                }
+    let mut policy = x::SweepPolicy {
+        deadline: deadline_secs.map(Duration::from_secs),
+        max_attempts: attempts,
+        ..x::SweepPolicy::default()
+    };
+    if resume || journal_path.is_some() {
+        let path = journal_path
+            .clone()
+            .unwrap_or_else(|| "results/figures_journal.jsonl".into());
+        match x::Journal::open(&path) {
+            Ok(j) => {
+                eprintln!("journal: {path} ({} cells restored)", j.restored());
+                policy.journal = Some(Arc::new(j));
+            }
+            Err(e) => {
+                eprintln!("cannot open journal {path}: {e}");
+                std::process::exit(2);
             }
         }
-        x::install_global_policy(policy);
     }
+    x::install_global_policy(policy);
     if which.is_empty() && !trace_files.is_empty() {
         which = vec!["trace"];
     } else if which.is_empty() || which.contains(&"all") {
@@ -161,6 +170,7 @@ fn main() {
         }
         println!();
     }
+    eprintln!("sweep: {}", x::cell_counts());
     if let Some(dir) = csv_dir {
         std::fs::create_dir_all(&dir).expect("create csv dir");
         for (name, content) in csvs {

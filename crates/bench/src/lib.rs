@@ -30,6 +30,7 @@ pub mod experiments;
 
 pub use experiments::*;
 pub use subwarp_sweep::{
-    cell_fingerprint, chaos_sweep, global_policy, holes_observed, install_global_policy,
-    job_error_to_sim, run_resilient, workload_hash, Journal, PartialGrid, Sweep, SweepPolicy,
+    cell_counts, cell_fingerprint, chaos_sweep, global_policy, holes_observed,
+    install_global_policy, job_error_to_sim, run_resilient, workload_hash, CellCounts, Journal,
+    PartialGrid, Sweep, SweepPolicy,
 };

@@ -692,7 +692,8 @@ pub struct FuzzJournal {
 
 impl FuzzJournal {
     /// Opens (creating if absent) the journal at `path`, loading previously
-    /// completed seeds; malformed lines are skipped.
+    /// completed seeds; malformed lines are skipped, and a torn tail with no
+    /// newline (a killed append) is truncated away before appending resumes.
     pub fn open(path: impl AsRef<std::path::Path>) -> std::io::Result<FuzzJournal> {
         use std::io::BufRead;
         let path = path.as_ref();
@@ -702,20 +703,33 @@ impl FuzzJournal {
             }
         }
         let mut completed = std::collections::HashMap::new();
+        // Bytes through the last newline: a record counts only once its
+        // terminating newline is on disk.
+        let mut committed = 0u64;
         match std::fs::File::open(path) {
             Ok(f) => {
-                for line in std::io::BufReader::new(f).lines() {
-                    let line = line?;
+                let mut reader = std::io::BufReader::new(f);
+                let mut buf = Vec::new();
+                loop {
+                    buf.clear();
+                    let n = reader.read_until(b'\n', &mut buf)?;
+                    if buf.pop() != Some(b'\n') {
+                        break;
+                    }
+                    committed += n as u64;
+                    let Ok(line) = std::str::from_utf8(&buf) else {
+                        continue;
+                    };
                     let parsed = (|| {
-                        let seed = parse_u64_field(&line, "seed")?;
-                        let runs = parse_u64_field(&line, "runs")?;
-                        let instructions = parse_u64_field(&line, "instructions")?;
-                        let failure = match parse_string_field(&line, "kind")?.as_str() {
+                        let seed = parse_u64_field(line, "seed")?;
+                        let runs = parse_u64_field(line, "runs")?;
+                        let instructions = parse_u64_field(line, "instructions")?;
+                        let failure = match parse_string_field(line, "kind")?.as_str() {
                             "ok" => None,
                             "fail" => Some(Divergence {
                                 seed,
-                                config: parse_string_field(&line, "config")?,
-                                what: parse_string_field(&line, "what")?,
+                                config: parse_string_field(line, "config")?,
+                                what: parse_string_field(line, "what")?,
                             }),
                             _ => return None,
                         };
@@ -738,6 +752,12 @@ impl FuzzJournal {
             .create(true)
             .append(true)
             .open(path)?;
+        // Cut a torn tail back to the last newline, so the next record
+        // starts on its own line instead of being glued onto the fragment
+        // and dropped by the next reload.
+        if file.metadata()?.len() > committed {
+            file.set_len(committed)?;
+        }
         Ok(FuzzJournal {
             restored: completed.len(),
             completed: std::sync::Mutex::new(completed),

@@ -420,6 +420,69 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// Runs job `i` to its final outcome: reported `Cancelled` without running
+/// when the batch or the external flag is cancelled, otherwise every
+/// attempt the supervisor allows, each under `catch_unwind`.
+fn run_job<T, E, F>(
+    sup: &Supervisor,
+    shared: &Shared,
+    f: &F,
+    epoch: Instant,
+    i: usize,
+) -> DoneMsg<T, E>
+where
+    F: Fn(usize, u32) -> Result<T, E>,
+{
+    let externally_cancelled = || {
+        sup.cancel
+            .as_ref()
+            .is_some_and(|c| c.load(Ordering::SeqCst))
+    };
+    if shared.cancelled.load(Ordering::SeqCst) || externally_cancelled() {
+        return DoneMsg {
+            index: i,
+            attempts: 0,
+            outcome: Err(JobCause::Cancelled),
+        };
+    }
+    let mut attempt = 1u32;
+    let outcome = loop {
+        shared.attempt_of[i].store(attempt, Ordering::SeqCst);
+        shared.running_since[i].store(epoch.elapsed().as_micros() as u64 + 1, Ordering::SeqCst);
+        let result = catch_unwind(AssertUnwindSafe(|| f(i, attempt)));
+        shared.running_since[i].store(0, Ordering::SeqCst);
+        let cause = match result {
+            Ok(Ok(t)) => break Ok(t),
+            Ok(Err(e)) => JobCause::Err(e),
+            Err(payload) => JobCause::Panic(panic_message(payload)),
+        };
+        let retryable = match &cause {
+            JobCause::Panic(_) => sup.retry_panics,
+            JobCause::Err(_) => sup.retry_errors,
+            _ => false,
+        };
+        // A drain in progress turns remaining retries into a final
+        // verdict: report the real failure now rather than sleeping
+        // through the shutdown window.
+        if attempt >= sup.max_attempts || !retryable || externally_cancelled() {
+            break Err(cause);
+        }
+        attempt += 1;
+        std::thread::sleep(sup.backoff_for(i, attempt));
+    };
+    // Flag cancellation here (not in the supervisor loop) so that with one
+    // worker the claim order sees it immediately and the serial Cancelled
+    // pattern is deterministic.
+    if outcome.is_err() && sup.cancel_on_first_error {
+        shared.cancelled.store(true, Ordering::SeqCst);
+    }
+    DoneMsg {
+        index: i,
+        attempts: attempt,
+        outcome,
+    }
+}
+
 /// Runs `labels.len()` jobs under supervision and returns index-ordered
 /// per-job outcomes — one `Result` per job, never a cross-job abort.
 ///
@@ -431,7 +494,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// supervising (calling) thread: an overdue job is abandoned as
 /// [`JobCause::Timeout`], a replacement worker is spawned so remaining jobs
 /// still run, and the stuck thread is left detached (it cannot be killed;
-/// a late result is discarded).
+/// a late result is discarded). With one worker and no deadline there is
+/// nothing to watch, and the jobs run inline on the calling thread.
 ///
 /// Determinism: `Ok` payloads — and `Err` patterns produced by
 /// deterministic job code — are identical regardless of the worker count.
@@ -458,10 +522,30 @@ where
         attempt_of: (0..n).map(|_| AtomicU32::new(0)).collect(),
     });
     let f = Arc::new(f);
-    let (tx, rx) = mpsc::channel::<DoneMsg<T, E>>();
     let sup = sup.clone();
     let workers = sup.workers.clamp(1, n);
 
+    // One worker without a deadline needs no watchdog, so no thread: run
+    // the jobs inline in index order, the reference serial schedule.
+    if workers == 1 && sup.deadline.is_none() {
+        return (0..n)
+            .map(|i| {
+                let DoneMsg {
+                    index,
+                    attempts,
+                    outcome,
+                } = run_job(&sup, &shared, &*f, epoch, i);
+                outcome.map_err(|cause| JobError {
+                    index,
+                    label: labels[index].clone(),
+                    attempts,
+                    cause,
+                })
+            })
+            .collect();
+    }
+
+    let (tx, rx) = mpsc::channel::<DoneMsg<T, E>>();
     let spawn_worker =
         |shared: &Arc<Shared>, tx: &mpsc::Sender<DoneMsg<T, E>>| -> std::thread::JoinHandle<()> {
             let shared = Arc::clone(shared);
@@ -473,56 +557,7 @@ where
                 if i >= n {
                     break;
                 }
-                let externally_cancelled = || {
-                    sup.cancel
-                        .as_ref()
-                        .is_some_and(|c| c.load(Ordering::SeqCst))
-                };
-                if shared.cancelled.load(Ordering::SeqCst) || externally_cancelled() {
-                    let _ = tx.send(DoneMsg {
-                        index: i,
-                        attempts: 0,
-                        outcome: Err(JobCause::Cancelled),
-                    });
-                    continue;
-                }
-                let mut attempt = 1u32;
-                let outcome = loop {
-                    shared.attempt_of[i].store(attempt, Ordering::SeqCst);
-                    shared.running_since[i]
-                        .store(epoch.elapsed().as_micros() as u64 + 1, Ordering::SeqCst);
-                    let result = catch_unwind(AssertUnwindSafe(|| f(i, attempt)));
-                    shared.running_since[i].store(0, Ordering::SeqCst);
-                    let cause = match result {
-                        Ok(Ok(t)) => break Ok(t),
-                        Ok(Err(e)) => JobCause::Err(e),
-                        Err(payload) => JobCause::Panic(panic_message(payload)),
-                    };
-                    let retryable = match &cause {
-                        JobCause::Panic(_) => sup.retry_panics,
-                        JobCause::Err(_) => sup.retry_errors,
-                        _ => false,
-                    };
-                    // A drain in progress turns remaining retries into a final
-                    // verdict: report the real failure now rather than sleeping
-                    // through the shutdown window.
-                    if attempt >= sup.max_attempts || !retryable || externally_cancelled() {
-                        break Err(cause);
-                    }
-                    attempt += 1;
-                    std::thread::sleep(sup.backoff_for(i, attempt));
-                };
-                // Flag cancellation here (not in the supervisor loop) so that
-                // with one worker the claim order sees it immediately and the
-                // serial Cancelled pattern is deterministic.
-                if outcome.is_err() && sup.cancel_on_first_error {
-                    shared.cancelled.store(true, Ordering::SeqCst);
-                }
-                let _ = tx.send(DoneMsg {
-                    index: i,
-                    attempts: attempt,
-                    outcome,
-                });
+                let _ = tx.send(run_job(&sup, &shared, &*f, epoch, i));
             })
         };
 
@@ -1011,6 +1046,24 @@ mod tests {
         let sup = Supervisor::with_workers(4);
         let out = run_supervised::<usize, (), _>(&sup, &[], |i, _| Ok(i));
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn supervised_single_worker_runs_inline_unless_a_deadline_is_watched() {
+        let caller = std::thread::current().id();
+        let on_caller = |sup: Supervisor| {
+            run_supervised::<bool, (), _>(&sup, &labels(3), move |_, _| {
+                Ok(std::thread::current().id() == caller)
+            })
+        };
+        assert!(on_caller(Supervisor::with_workers(1))
+            .iter()
+            .all(|r| r == &Ok(true)));
+        let watched = Supervisor {
+            deadline: Some(Duration::from_secs(60)),
+            ..Supervisor::with_workers(1)
+        };
+        assert!(on_caller(watched).iter().all(|r| r == &Ok(false)));
     }
 
     #[test]

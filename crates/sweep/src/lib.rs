@@ -22,8 +22,9 @@
 //!   chaos path exercised by `figures chaos` and the CI `chaos-smoke` and
 //!   `serve-smoke` jobs.
 
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use subwarp_core::{FaultPlan, RunStats, SiConfig, SimError, Simulator, SmConfig, Workload};
@@ -53,9 +54,10 @@ pub use journal::{
 pub struct Sweep {
     workloads: Vec<(String, Arc<Workload>)>,
     // Per-row fingerprint override, parallel to `workloads`. `None` rows
-    // are keyed by the structural `workload_hash`; `Some` rows (workloads
-    // loaded from trace files) are keyed by the trace content fingerprint,
-    // which survives across processes and format-compatible re-encodes.
+    // are keyed by the structural `workload_hash`; `Some` rows carry it
+    // precomputed (suite rows) or are keyed by the trace content
+    // fingerprint (workloads loaded from trace files), which survives
+    // across processes and format-compatible re-encodes.
     hashes: Vec<Option<u64>>,
     configs: Vec<(String, SmConfig, SiConfig)>,
 }
@@ -70,9 +72,9 @@ impl Sweep {
     /// ([`built_suite`]).
     pub fn over_suite() -> Sweep {
         let mut s = Sweep::new();
-        for (t, wl) in built_suite() {
+        for ((t, wl), &h) in built_suite().iter().zip(suite_hashes()) {
             s.workloads.push((t.name.to_owned(), Arc::clone(wl)));
-            s.hashes.push(None);
+            s.hashes.push(Some(h));
         }
         s
     }
@@ -152,17 +154,20 @@ impl Sweep {
     /// determinism A/B hook).
     ///
     /// When a process-global [`SweepPolicy`] has been installed (the
-    /// `figures` binary does this for `--resume`/`--journal`/`--deadline`/
-    /// `--attempts`), the grid runs under supervision instead; a
+    /// `figures` binary always installs one), the grid runs under
+    /// supervision instead, and each distinct cell content is simulated at
+    /// most once per process (see [`install_global_policy`]); a
     /// strict-mode caller still sees the first hole as a `SimError`.
     /// Without an installed policy this is the original unsupervised fast
-    /// path, byte-identical to pre-supervision behavior.
+    /// path, which simulates every cell.
     pub fn run_with_jobs(&self, workers: usize) -> Result<Vec<Vec<RunStats>>, SimError> {
         if let Some(policy) = global_policy() {
             let mut policy = policy.clone();
             policy.workers = Some(workers);
-            return self.run_resilient(&policy).into_result();
+            return run_cells(self, &policy, Some(&CELL_MEMO)).into_result();
         }
+        CELLS.fetch_add(self.len(), Ordering::Relaxed);
+        SIMULATED.fetch_add(self.len(), Ordering::Relaxed);
         let nc = self.configs.len();
         let cells = subwarp_pool::run_with_jobs(workers, self.len(), |i| {
             let (_, wl) = &self.workloads[i / nc];
@@ -220,16 +225,33 @@ impl SweepPolicy {
     }
 }
 
-/// Process-global sweep policy, installed once by the `figures` binary when
-/// invoked with `--resume`/`--journal`/`--deadline`/`--attempts` so every
-/// figure's internal `Sweep::run` becomes resilient without threading the
-/// policy through each experiment's signature. Library users (and tests)
-/// pass a policy to [`run_resilient`] explicitly instead; nothing in this
-/// crate installs a global policy on its own.
+/// Process-global sweep policy, installed once by the `figures` binary so
+/// every figure's internal `Sweep::run` becomes resilient without threading
+/// the policy through each experiment's signature. Library users (and
+/// tests) pass a policy to [`run_resilient`] explicitly instead; nothing in
+/// this crate installs a global policy on its own.
 static GLOBAL_POLICY: OnceLock<SweepPolicy> = OnceLock::new();
+
+/// Results of every cell simulated under the installed global policy,
+/// keyed by content: [`cell_fingerprint`] with an empty label, so the same
+/// workload and configurations under another figure's label collide.
+/// Values are [`pack`]ed.
+type Memo = Mutex<BTreeMap<u64, Box<[u8]>>>;
+
+/// The content-keyed cell memo. Only grids run through the global policy
+/// read or fill it; [`run_resilient`] and the policy-less fast path always
+/// simulate every cell.
+static CELL_MEMO: Memo = Mutex::new(BTreeMap::new());
 
 /// Installs the process-global policy. Returns `false` (and changes
 /// nothing) if one was already installed.
+///
+/// From then on [`Sweep::run_with_jobs`] runs every grid under this
+/// policy and simulates each distinct cell content at most once per
+/// process: cells restored from the journal, or simulated by an earlier
+/// grid or by a twin in the same grid, are answered from a content-keyed
+/// memo and still journaled under their own label. Cells a
+/// [`FaultPlan`] may sabotage neither read nor fill the memo.
 pub fn install_global_policy(policy: SweepPolicy) -> bool {
     GLOBAL_POLICY.set(policy).is_ok()
 }
@@ -247,6 +269,59 @@ static HOLES: AtomicUsize = AtomicUsize::new(0);
 /// Total holes observed by every [`run_resilient`] call in this process.
 pub fn holes_observed() -> usize {
     HOLES.load(Ordering::Relaxed)
+}
+
+static CELLS: AtomicUsize = AtomicUsize::new(0);
+static SIMULATED: AtomicUsize = AtomicUsize::new(0);
+static DEDUPLICATED: AtomicUsize = AtomicUsize::new(0);
+static RESTORED: AtomicUsize = AtomicUsize::new(0);
+
+/// What every sweep in this process did with its cells. Each cell is
+/// exactly one of simulated, deduplicated or restored, so the three add up
+/// to `cells`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CellCounts {
+    /// Grid cells requested.
+    pub cells: usize,
+    /// Cells handed to the simulator (a failed attempt counts too).
+    pub simulated: usize,
+    /// Cells answered from the content-keyed memo: a twin of a cell
+    /// simulated or restored earlier, or of one simulated in the same grid.
+    pub deduplicated: usize,
+    /// Cells restored from the policy's journal by their label.
+    pub restored: usize,
+}
+
+impl std::fmt::Display for CellCounts {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} cells, {} simulated, {} deduplicated, {} restored from journal",
+            self.cells, self.simulated, self.deduplicated, self.restored
+        )
+    }
+}
+
+/// Totals over every sweep run in this process so far.
+pub fn cell_counts() -> CellCounts {
+    CellCounts {
+        cells: CELLS.load(Ordering::Relaxed),
+        simulated: SIMULATED.load(Ordering::Relaxed),
+        deduplicated: DEDUPLICATED.load(Ordering::Relaxed),
+        restored: RESTORED.load(Ordering::Relaxed),
+    }
+}
+
+/// [`workload_hash`] of each [`built_suite`] workload, computed once per
+/// process: every suite sweep would otherwise re-render all ten workloads.
+fn suite_hashes() -> &'static [u64] {
+    static HASHES: OnceLock<Vec<u64>> = OnceLock::new();
+    HASHES.get_or_init(|| {
+        built_suite()
+            .iter()
+            .map(|(_, wl)| workload_hash(wl))
+            .collect()
+    })
 }
 
 // ----------------------------------------------------------- partial grid
@@ -321,9 +396,10 @@ pub fn job_error_to_sim(e: JobError<SimError>) -> SimError {
 struct JobSpec {
     label: String,
     fp: u64,
-    wl: Arc<Workload>,
-    sm: SmConfig,
-    si: SiConfig,
+    // Content key (the fingerprint with an empty label) when this cell may
+    // use the memo; `None` without a memo or when the fault plan may
+    // sabotage the cell.
+    key: Option<u64>,
 }
 
 /// Runs a sweep grid under supervision, returning a [`PartialGrid`] with
@@ -331,16 +407,33 @@ struct JobSpec {
 ///
 /// Cells whose fingerprint is already in the policy's [`Journal`] are
 /// restored without re-simulating; freshly completed cells are journaled
-/// as they finish. Cell labels are `"<workload>/<config>"`. Determinism:
-/// for a fault-free (or deterministically-faulted) sweep, the `Ok`/`Err`
-/// pattern and every `Ok` payload are identical for serial and parallel
-/// runs, and for interrupted-then-resumed versus uninterrupted runs.
+/// as they finish. Cell labels are `"<workload>/<config>"`. Every other
+/// cell is simulated, even when another cell of the grid has the same
+/// content. Determinism: for a fault-free (or deterministically-faulted)
+/// sweep, the `Ok`/`Err` pattern and every `Ok` payload are identical for
+/// serial and parallel runs, and for interrupted-then-resumed versus
+/// uninterrupted runs.
 // `JobError<SimError>` is only materialized once per *failed* cell; boxing
 // it would push the indirection into every PartialGrid accessor for no
 // hot-path benefit.
 #[allow(clippy::result_large_err)]
 pub fn run_resilient(sweep: &Sweep, policy: &SweepPolicy) -> PartialGrid {
+    run_cells(sweep, policy, None)
+}
+
+/// [`run_resilient`], answering cells from `memo` by content where it can:
+/// journal hits by label come first (and seed the memo), then memo hits,
+/// then one simulation per distinct content among the remaining cells.
+/// Memo-served cells are journaled under their own label, so a resumed run
+/// restores exactly the cells an unmemoized one would have journaled.
+#[allow(clippy::result_large_err)]
+fn run_cells(sweep: &Sweep, policy: &SweepPolicy, memo: Option<&Memo>) -> PartialGrid {
     let n_configs = sweep.configs.len();
+    let exposed = |label: &str| {
+        policy.faults.as_ref().is_some_and(|plan| {
+            (1..=policy.max_attempts.max(1)).any(|a| plan.decide(label, a).is_some())
+        })
+    };
     let specs: Vec<JobSpec> = sweep
         .workloads
         .iter()
@@ -355,50 +448,116 @@ pub fn run_resilient(sweep: &Sweep, policy: &SweepPolicy) -> PartialGrid {
             sweep.configs.iter().map(move |(cname, sm, si)| {
                 let label = format!("{wname}/{cname}");
                 let fp = cell_fingerprint(&label, whash, sm, si);
-                JobSpec {
-                    label,
-                    fp,
-                    wl: Arc::clone(wl),
-                    sm: sm.clone(),
-                    si: *si,
-                }
+                let key = (memo.is_some() && !exposed(&label))
+                    .then(|| cell_fingerprint("", whash, sm, si));
+                JobSpec { label, fp, key }
             })
         })
         .collect();
 
     let mut cells: Vec<Option<Result<RunStats, JobError<SimError>>>> =
         (0..specs.len()).map(|_| None).collect();
+    let mut restored = 0;
     if let Some(journal) = &policy.journal {
         for (i, spec) in specs.iter().enumerate() {
             if let Some(stats) = journal.lookup(spec.fp) {
+                if let (Some(m), Some(key), Some(packed)) = (memo, spec.key, pack(&stats)) {
+                    m.lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .insert(key, packed);
+                }
                 cells[i] = Some(Ok(stats));
+                restored += 1;
             }
         }
     }
-    let pending: Vec<usize> = (0..specs.len()).filter(|&i| cells[i].is_none()).collect();
-    if !pending.is_empty() {
-        let labels: Vec<String> = pending.iter().map(|&i| specs[i].label.clone()).collect();
+
+    // Each pending cell is memo-served, the twin of an earlier pending
+    // cell, or a job of its own.
+    let mut served = Vec::new();
+    let mut jobs: Vec<usize> = Vec::new();
+    let mut twins: Vec<Vec<usize>> = Vec::new();
+    let known = memo.map(|m| m.lock().unwrap_or_else(|e| e.into_inner()));
+    let mut job_of: HashMap<u64, usize> = HashMap::new();
+    for (i, spec) in specs.iter().enumerate() {
+        if cells[i].is_some() {
+            continue;
+        }
+        if let Some(key) = spec.key {
+            if let Some(packed) = known.as_ref().and_then(|m| m.get(&key)) {
+                served.push((i, unpack(packed)));
+                continue;
+            }
+            if let Some(&k) = job_of.get(&key) {
+                twins[k].push(i);
+                continue;
+            }
+            job_of.insert(key, jobs.len());
+        }
+        jobs.push(i);
+        twins.push(Vec::new());
+    }
+    drop(known);
+    let deduplicated = served.len() + twins.iter().map(Vec::len).sum::<usize>();
+    for (i, stats) in served {
+        if let Some(j) = &policy.journal {
+            j.record(specs[i].fp, &specs[i].label, &stats);
+        }
+        cells[i] = Some(Ok(stats));
+    }
+
+    if !jobs.is_empty() {
+        let labels: Vec<String> = jobs.iter().map(|&i| specs[i].label.clone()).collect();
         let specs = Arc::new(specs);
-        let run_specs = Arc::clone(&specs);
-        let pending_for_job = pending.clone();
+        let twins = Arc::new(twins);
+        let (run_specs, run_twins, run_jobs) =
+            (Arc::clone(&specs), Arc::clone(&twins), jobs.clone());
+        // One copy of each row and column for the job closure, not one per
+        // cell: cell `i` is row `i / n_configs`, column `i % n_configs`.
+        let rows: Vec<Arc<Workload>> = sweep
+            .workloads
+            .iter()
+            .map(|(_, wl)| Arc::clone(wl))
+            .collect();
+        let cols: Vec<(SmConfig, SiConfig)> = sweep
+            .configs
+            .iter()
+            .map(|(_, sm, si)| (sm.clone(), *si))
+            .collect();
         let faults = policy.faults.clone();
         let journal = policy.journal.clone();
         let outcomes =
             subwarp_pool::run_supervised(&policy.supervisor(), &labels, move |k, attempt| {
-                let spec = &run_specs[pending_for_job[k]];
+                let cell = run_jobs[k];
+                let spec = &run_specs[cell];
                 if let Some(plan) = &faults {
                     plan.sabotage(&spec.label, attempt)?;
                 }
-                let stats = Simulator::new(spec.sm.clone(), spec.si).run(&spec.wl)?;
+                let (sm, si) = &cols[cell % n_configs];
+                let stats = Simulator::new(sm.clone(), *si).run(&rows[cell / n_configs])?;
                 if let Some(j) = &journal {
-                    j.record(spec.fp, &spec.label, &stats);
+                    for &i in std::iter::once(&cell).chain(&run_twins[k]) {
+                        j.record(run_specs[i].fp, &run_specs[i].label, &stats);
+                    }
                 }
                 Ok(stats)
             });
         for (k, outcome) in outcomes.into_iter().enumerate() {
-            // Re-anchor the supervised batch's job index to the grid index.
-            let i = pending[k];
-            cells[i] = Some(outcome.map_err(|e| JobError { index: i, ..e }));
+            let packed = outcome.as_ref().ok().and_then(pack);
+            if let (Some(m), Some(key), Some(packed)) = (memo, specs[jobs[k]].key, packed) {
+                m.lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .insert(key, packed);
+            }
+            // Re-anchor the supervised batch's job index (and, for twins,
+            // the label) to the grid cell.
+            for &i in std::iter::once(&jobs[k]).chain(&twins[k]) {
+                cells[i] = Some(outcome.clone().map_err(|e| JobError {
+                    index: i,
+                    label: specs[i].label.clone(),
+                    ..e
+                }));
+            }
         }
     }
     let grid = PartialGrid {
@@ -409,7 +568,54 @@ pub fn run_resilient(sweep: &Sweep, policy: &SweepPolicy) -> PartialGrid {
             .collect(),
     };
     HOLES.fetch_add(grid.holes().len(), Ordering::Relaxed);
+    CELLS.fetch_add(grid.cells.len(), Ordering::Relaxed);
+    SIMULATED.fetch_add(jobs.len(), Ordering::Relaxed);
+    DEDUPLICATED.fetch_add(deduplicated, Ordering::Relaxed);
+    RESTORED.fetch_add(restored, Ordering::Relaxed);
     grid
+}
+
+/// Packs `stats` for the memo: the journal's exact integer codec
+/// ([`stats_to_units`]), each value LEB128-encoded. Counters are mostly
+/// small, so an entry takes about 100 bytes where a `RunStats` takes 440,
+/// which keeps the memo from raising a `figures` run's peak RSS. `None`
+/// when the codec would not reproduce `stats` (a per-SM breakdown, phase
+/// timings): such a cell is simply not memoized.
+fn pack(stats: &RunStats) -> Option<Box<[u8]>> {
+    let (u, ch) = stats_to_units(stats);
+    if units_to_stats(&u, &ch).as_ref() != Some(stats) {
+        return None;
+    }
+    let mut out = Vec::with_capacity(128);
+    let lengths = ([u.len() as u64], [ch.len() as u64]);
+    for mut v in lengths.0.into_iter().chain(u).chain(lengths.1).chain(ch) {
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+    Some(out.into_boxed_slice())
+}
+
+/// Inverse of [`pack`].
+fn unpack(packed: &[u8]) -> RunStats {
+    let mut bytes = packed.iter();
+    let mut next = || {
+        let mut v = 0u64;
+        for (shift, &b) in (0..64).step_by(7).zip(&mut bytes) {
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                break;
+            }
+        }
+        v
+    };
+    let n = next();
+    let u: Vec<u64> = (0..n).map(|_| next()).collect();
+    let n = next();
+    let ch: Vec<u64> = (0..n).map(|_| next()).collect();
+    units_to_stats(&u, &ch).expect("memo entries are packed from exact stats")
 }
 
 // ------------------------------------------------------------- chaos sweep
@@ -454,4 +660,34 @@ pub fn chaos_sweep() -> (Sweep, SweepPolicy) {
         ..SweepPolicy::default()
     };
     (sweep, policy)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn packed_memo_entries_round_trip_exactly() {
+        let mut stats = RunStats {
+            cycles: u64::MAX,
+            instructions: 0x80,
+            peak_resident_warps: 32,
+            ..RunStats::default()
+        };
+        stats.cycle_causes[3] = 1 << 40;
+        stats.mem.channel_busy_cycles = vec![0, 127, 128, u64::MAX - 1];
+        let packed = pack(&stats).expect("integer stats pack");
+        assert_eq!(unpack(&packed), stats);
+        stats.phase_nanos[0] = 1;
+        assert_eq!(pack(&stats), None, "phase timings are not in the codec");
+    }
+
+    #[test]
+    fn cached_suite_hashes_equal_workload_hash() {
+        let suite = Sweep::over_suite();
+        assert_eq!(suite.hashes.len(), built_suite().len());
+        for ((_, wl), h) in suite.workload_rows().iter().zip(&suite.hashes) {
+            assert_eq!(*h, Some(workload_hash(wl)));
+        }
+    }
 }
